@@ -117,6 +117,13 @@ u64 msg_bytes(Env& env, i32 dt_handle, i32 count) {
   return bytes;
 }
 
+/// Credits `bytes` to the enclosing MpiScope for handlers whose payload is
+/// a per-rank count vector (v-collectives, reduce_scatter), which they size
+/// from the translated datatype instead of through msg_bytes.
+void note_vector_bytes(u64 bytes) {
+  if (MW_TRACE_ACTIVE()) trace::note_bytes(bytes);
+}
+
 }  // namespace
 
 void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
@@ -684,11 +691,13 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
             std::vector<i32> rcounts = load_i32s(a[5].u32v);
             std::vector<i32> rdispls = load_i32s(a[6].u32v);
             // Validate extents before handing pointers to the host library.
-            u64 smax = 0, rmax = 0;
+            u64 smax = 0, rmax = 0, stotal = 0;
             for (int i = 0; i < n; ++i) {
               smax = std::max(smax, u64(sdispls[i]) + u64(scounts[i]));
               rmax = std::max(rmax, u64(rdispls[i]) + u64(rcounts[i]));
+              stotal += u64(scounts[i]);
             }
+            note_vector_bytes(stotal * esz);
             const u8* sbuf = send_view(env, mem, a[0].u32v, smax * esz);
             RecvView v = recv_view(env, mem, a[4].u32v, rmax * esz,
                                    /*preload=*/true);  // sparse displs
@@ -716,6 +725,7 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
               total += u64(counts[i]);
             }
             u64 esize = simmpi::datatype_size(dt);
+            note_vector_bytes(total * esize);
             bool in_place = a[0].u32v == u32(abi::MPI_IN_PLACE);
             // In-place input is the full vector in recvbuf; otherwise the
             // receive buffer only holds this rank's block.
@@ -918,6 +928,7 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
                 total += u64(counts[i]);
               }
               u64 esize = simmpi::datatype_size(dt);
+              note_vector_bytes(total * esize);
               bool in_place = a[0].u32v == u32(abi::MPI_IN_PLACE);
               u64 rbytes = (in_place ? total : u64(counts[me])) * esize;
               const void* sbuf =

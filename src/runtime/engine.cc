@@ -66,13 +66,34 @@ std::string cache_tag(EngineTier tier, bool superinstructions,
   return tag;
 }
 
+/// The full optimizing pipeline with the ablation flags applied (kOptimizing,
+/// kJit, and tiered promotions to either).
+OptOptions full_opt_options(bool superinstructions, bool hoist_bounds,
+                            bool simd) {
+  OptOptions opt = OptOptions::full();
+  opt.fuse_super = superinstructions;
+  opt.hoist_bounds = hoist_bounds;
+  opt.simd = simd;
+  return opt;
+}
+
 /// Gives `rf` a native entry point: reuses a cache-loaded blob when its CPU
 /// features are a subset of the host's and its layout hash matches this
 /// build, recompiles otherwise, and installs into the module's arena.
 /// On any failure the blob is dropped and the function stays on the
-/// threaded interpreter (returns false). Caller must hold whatever lock
-/// serializes arena installs for `cm`.
+/// threaded interpreter (returns false). Codegen is skipped outright once
+/// the module's arena is known to be unavailable (a host that denies
+/// executable memory). Caller must hold whatever lock serializes arena
+/// installs for `cm`.
 bool attach_jit_entry(const CompiledModule& cm, RFunc& rf) {
+  const auto fallback = [&] {
+    rf.jit = nullptr;
+    cm.jit_fallback_funcs.fetch_add(1, std::memory_order_relaxed);
+    MW_TRACE_INSTANT("engine", "jit.fallback");
+    return false;
+  };
+  if (cm.jit_arena == nullptr) cm.jit_arena = std::make_unique<JitArena>();
+  if (!cm.jit_arena->available()) return fallback();
   const u32 host = jit_cpu_features();
   if (rf.jit != nullptr && ((rf.jit->cpu_features & ~host) != 0 ||
                             rf.jit->layout_hash != jit_layout_hash())) {
@@ -80,19 +101,9 @@ bool attach_jit_entry(const CompiledModule& cm, RFunc& rf) {
     rf.jit = nullptr;  // stale blob: recompile below
   }
   if (rf.jit == nullptr) rf.jit = jit_compile_function(rf);
-  if (rf.jit == nullptr) {
-    cm.jit_fallback_funcs.fetch_add(1, std::memory_order_relaxed);
-    MW_TRACE_INSTANT("engine", "jit.fallback");
-    return false;
-  }
-  if (cm.jit_arena == nullptr) cm.jit_arena = std::make_unique<JitArena>();
+  if (rf.jit == nullptr) return fallback();
   rf.jit_entry = cm.jit_arena->install(*rf.jit);
-  if (rf.jit_entry == nullptr) {
-    rf.jit = nullptr;
-    cm.jit_fallback_funcs.fetch_add(1, std::memory_order_relaxed);
-    MW_TRACE_INSTANT("engine", "jit.fallback");
-    return false;
-  }
+  if (rf.jit_entry == nullptr) return fallback();
   cm.jit_funcs.fetch_add(1, std::memory_order_relaxed);
   MW_TRACE_INSTANT("engine", "jit.compile", "code_bytes",
                    i64(rf.jit->code.size()));
@@ -212,11 +223,9 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
     // kJit sits on top of the full optimizing pipeline: templates cover the
     // fused superinstructions, so the native code keeps their wins.
     if (target != EngineTier::kBaseline) {
-      OptOptions opt = OptOptions::full();
-      opt.fuse_super = ts.opt_superinstructions;
-      opt.hoist_bounds = ts.opt_hoist_bounds;
-      opt.simd = ts.opt_simd;
-      optimize_function(*body, opt);
+      optimize_function(*body,
+                        full_opt_options(ts.opt_superinstructions,
+                                         ts.opt_hoist_bounds, ts.opt_simd));
     }
   }
   // Native codegen (or validation + reinstall of a cache-loaded blob). On
@@ -226,9 +235,10 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
   if (target == EngineTier::kJit) jit_ok = attach_jit_entry(cm, *body);
   if (cache && !from_cache)
     cache->store_func(cm.hash, defined_index, tag, *body);
-  // Resolve direct-threading handler addresses before anyone can see the
-  // body (handlers are derived state, never serialized to the cache).
-  prepare_rfunc(*body);
+  // Resolve direct-threading handler addresses before anyone can see an
+  // interpreted body (handlers are derived state, never serialized to the
+  // cache; a native body never reads them).
+  if (body->jit_entry == nullptr) prepare_rfunc(*body);
 
   const EngineTier publish_tier = target == EngineTier::kJit && !jit_ok
                                       ? EngineTier::kOptimizing
@@ -390,33 +400,27 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     MW_TRACE_INSTANT("engine", "cache.miss", "module", 1);
   }
 
-  cm->regcode = lower_module(cm->module);
-  if (tier == EngineTier::kLightOpt) {
-    optimize_module(cm->regcode, OptOptions::light());
-  } else if (tier == EngineTier::kOptimizing || tier == EngineTier::kJit) {
-    OptOptions opt = OptOptions::full();
-    opt.fuse_super = cfg.opt_superinstructions;
-    opt.hoist_bounds = cfg.opt_hoist_bounds;
-    opt.simd = cfg.opt_simd;
-    OptStats stats = optimize_module(cm->regcode, opt);
-    MW_DEBUG("optimizer: " << stats.instrs_before << " -> "
-                           << stats.instrs_after << " instrs, "
-                           << stats.fused_super << " superinstrs, "
-                           << stats.guards_hoisted << " guards hoisted");
+  // One function at a time: lower, optimize, attach native code, then
+  // resolve threaded handlers only for bodies left on the interpreter (a
+  // native body never reads them). Only one unoptimized body is alive at
+  // any point, which keeps peak memory at the optimized module's size.
+  const OptOptions opt =
+      tier == EngineTier::kLightOpt
+          ? OptOptions::light()
+          : full_opt_options(cfg.opt_superinstructions, cfg.opt_hoist_bounds,
+                             cfg.opt_simd);
+  const u32 nfuncs = u32(cm->module.bodies.size());
+  cm->regcode.funcs.reserve(nfuncs);
+  for (u32 i = 0; i < nfuncs; ++i) {
+    RFunc& rf = cm->regcode.funcs.emplace_back(lower_function(cm->module, i));
+    if (tier != EngineTier::kBaseline) optimize_function(rf, opt);
+    if (tier == EngineTier::kJit) attach_jit_entry(*cm, rf);
+    if (rf.jit_entry == nullptr) prepare_rfunc(rf);
   }
-  if (tier == EngineTier::kJit) {
-    // Native codegen over the optimized RegCode; per-function fallback to
-    // the threaded interpreter wherever a template is missing.
-    u32 compiled = 0;
-    for (auto& rf : cm->regcode.funcs)
-      if (attach_jit_entry(*cm, rf)) ++compiled;
-    MW_DEBUG("jit: " << compiled << "/" << cm->regcode.funcs.size()
-                     << " functions native, "
-                     << (cm->jit_arena ? cm->jit_arena->code_bytes() : 0)
-                     << " code bytes");
-  }
-  // Resolve direct-threading handler addresses once per published body.
-  for (auto& rf : cm->regcode.funcs) prepare_rfunc(rf);
+  MW_DEBUG("compiled " << nfuncs << " functions at " << tier_name(tier)
+                       << ": " << cm->jit_funcs.load() << " native, "
+                       << (cm->jit_arena ? cm->jit_arena->code_bytes() : 0)
+                       << " code bytes");
   cm->compile_ms = compile_watch.elapsed_ms();
 
   if (cfg.enable_cache) {

@@ -1,6 +1,6 @@
 // Compilation engine: turns Wasm binaries into executable CompiledModules.
 //
-// Four static tiers; the three compiled ones reproduce the paper's
+// Five static tiers; the compiled ones reproduce the paper's
 // compiler-backend trade-off (Table 1):
 //   kInterp     — predecode + stack-machine execution (not in Table 1;
 //                 kept for differential testing and instant startup)
@@ -11,6 +11,12 @@
 //   kOptimizing — fixpoint pass pipeline with compare/branch, immediate,
 //                 and mul-add fusion (the LLVM point: slowest compile,
 //                 fastest run)
+//   kJit        — x86-64 template codegen over kOptimizing's RegCode; the
+//                 shipped default, as MPIWasm ships Wasmer's native code
+//
+// The compiled static tiers work one function at a time (lower, optimize,
+// emit native code, resolve interpreter handlers), so only one unoptimized
+// body is alive at any point.
 //
 // kTiered dissolves the compile-time/run-time trade-off: the unit of
 // compilation becomes the *function*, not the module. compile() only
@@ -78,7 +84,9 @@ bool simd_enabled_from_env();
 bool threads_enabled_from_env();
 
 struct EngineConfig {
-  EngineTier tier = EngineTier::kOptimizing;
+  // The shipped default: native code, degrading to kOptimizing when `jit`
+  // is off (MPIWASM_JIT=0) and per function wherever a template is missing.
+  EngineTier tier = EngineTier::kJit;
   bool enable_cache = false;
   std::string cache_dir;  // empty -> "<tmp>/mpiwasm-cache"
   // kTiered promotion thresholds (call counts). A function is lowered to

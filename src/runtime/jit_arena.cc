@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 
 #include "runtime/jit_support.h"
@@ -12,6 +13,11 @@ namespace mpiwasm::rt {
 
 namespace {
 constexpr size_t kChunkBytes = 256 * 1024;
+std::atomic<bool> g_deny_mappings{false};
+}  // namespace
+
+void JitArena::deny_mappings_for_testing(bool deny) {
+  g_deny_mappings.store(deny, std::memory_order_relaxed);
 }
 
 /// One dual-mapped (or RWX-fallback) region; code is bump-allocated.
@@ -33,6 +39,10 @@ JitArena::JitArena() = default;
 JitArena::~JitArena() = default;
 
 JitArena::Chunk* JitArena::grow_chunk(size_t min_bytes) {
+  if (g_deny_mappings.load(std::memory_order_relaxed)) {
+    unavailable_ = true;
+    return nullptr;
+  }
   size_t size = kChunkBytes;
   while (size < min_bytes) size *= 2;
 
@@ -52,16 +62,21 @@ JitArena::Chunk* JitArena::grow_chunk(size_t min_bytes) {
     }
   }
   // Fallback: single anonymous RWX mapping (no dual-view W^X, but keeps the
-  // JIT functional where memfd or the double map is denied).
+  // JIT functional where memfd or the double map is denied). Drop whichever
+  // half of the double map did succeed.
   if (chunk->fd >= 0) {
     close(chunk->fd);
     chunk->fd = -1;
   }
+  if (chunk->rw != nullptr && chunk->rw != MAP_FAILED) munmap(chunk->rw, size);
+  if (chunk->rx != nullptr && chunk->rx != MAP_FAILED) munmap(chunk->rx, size);
+  chunk->rx = nullptr;
   chunk->rw = static_cast<u8*>(mmap(nullptr, size,
                                     PROT_READ | PROT_WRITE | PROT_EXEC,
                                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
   if (chunk->rw == MAP_FAILED) {
     MW_DEBUG("jit arena: mmap failed; JIT disabled for this module");
+    unavailable_ = true;
     return nullptr;
   }
   chunk->rx = chunk->rw;
@@ -69,14 +84,13 @@ JitArena::Chunk* JitArena::grow_chunk(size_t min_bytes) {
   return chunks_.back().get();
 }
 
-bool JitArena::available() const {
-  // The arena allocates lazily; availability is only definitively false
-  // after a failed grow, which install() reports by returning null.
-  return true;
+bool JitArena::available() {
+  if (chunks_.empty() && !unavailable_) grow_chunk(0);
+  return !unavailable_;
 }
 
 void (*JitArena::install(const JitBlob& blob))(void*) {
-  if (blob.code.empty()) return nullptr;
+  if (blob.code.empty() || unavailable_) return nullptr;
   const size_t need = (blob.code.size() + 15) & ~size_t(15);
 
   Chunk* c = chunks_.empty() ? nullptr : chunks_.back().get();

@@ -22,10 +22,12 @@ class JitArena {
   JitArena(const JitArena&) = delete;
   JitArena& operator=(const JitArena&) = delete;
 
-  /// False when no executable mapping could be created (hardened kernels);
-  /// install() always returns null in that case and callers fall back to
-  /// the threaded interpreter.
-  bool available() const;
+  /// False when no executable mapping can be created (hardened kernels).
+  /// The first call maps the first chunk, so the answer is known before any
+  /// code is generated; a failed map is sticky. install() always returns
+  /// null on an unavailable arena and callers fall back to the threaded
+  /// interpreter.
+  bool available();
 
   /// Copies `blob.code` into the arena, patches each reloc's movabs imm64
   /// with the current process's helper address, and returns the executable
@@ -36,12 +38,17 @@ class JitArena {
   /// Total machine-code bytes installed so far.
   u64 code_bytes() const { return code_bytes_; }
 
+  /// Test seam: while set, every new mapping fails as on a hardened host
+  /// that denies executable memory. Process-wide.
+  static void deny_mappings_for_testing(bool deny);
+
  private:
   struct Chunk;
   Chunk* grow_chunk(size_t min_bytes);
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   u64 code_bytes_ = 0;
+  bool unavailable_ = false;
 };
 
 }  // namespace mpiwasm::rt

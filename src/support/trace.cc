@@ -38,7 +38,8 @@ std::atomic<u64> g_ring_capacity{u64(1) << 15};
 // Each thread writes only its own state, with one exception: reset() and the
 // flush functions read/clear all states — callers must ensure writer threads
 // are quiescent (ranks joined) at that point, which the embedder guarantees
-// by flushing after World::run returns.
+// by flushing after World::run returns. A state whose thread has exited is
+// `retired`: still flushed, then freed by the next reset().
 struct ThreadState {
   explicit ThreadState(u64 cap, u64 id) : ring(cap), tid(id) {}
 
@@ -49,11 +50,13 @@ struct ThreadState {
   std::map<std::string, u64> algos;
   u64 wall_ns = 0;
   detail::ScopeData* open_scope = nullptr;
+  std::atomic<bool> retired{false};
 };
 
 struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadState>> threads;
+  u64 next_tid = 0;  // timeline ids stay unique across reset()
 };
 
 Registry& registry() {
@@ -63,14 +66,26 @@ Registry& registry() {
 
 thread_local ThreadState* t_state = nullptr;
 
+// Retires the calling thread's state when the thread exits. Registered on
+// the thread's first state() call; the state itself stays owned by the
+// registry until reset().
+struct RetireOnExit {
+  bool armed = false;
+  ~RetireOnExit() {
+    if (armed && t_state) t_state->retired.store(true, std::memory_order_release);
+    t_state = nullptr;
+  }
+};
+thread_local RetireOnExit t_retire;
+
 ThreadState* state() {
   if (t_state) return t_state;
   auto& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   u64 cap = g_ring_capacity.load(std::memory_order_relaxed);
-  reg.threads.push_back(
-      std::make_unique<ThreadState>(cap, reg.threads.size()));
+  reg.threads.push_back(std::make_unique<ThreadState>(cap, reg.next_tid++));
   t_state = reg.threads.back().get();
+  t_retire.armed = true;
   return t_state;
 }
 
@@ -501,9 +516,18 @@ std::string profile_report() {
   return os.str();
 }
 
+u64 thread_count() {
+  auto& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  return reg.threads.size();
+}
+
 void reset() {
   auto& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
+  std::erase_if(reg.threads, [](const std::unique_ptr<ThreadState>& t) {
+    return t->retired.load(std::memory_order_acquire);
+  });
   for (auto& t : reg.threads) {
     t->ring = Ring(t->ring.capacity());
     t->calls.clear();

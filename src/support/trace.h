@@ -214,9 +214,14 @@ u64 profile_wall_ns();
 u64 event_count();
 u64 dropped_count();
 
-/// Clears all recorded events, profiles, and labels. Thread registrations
-/// stay alive (thread_local pointers into the registry must not dangle), and
-/// the enable switches are left untouched.
+/// Per-thread states currently registered: live threads that have emitted,
+/// plus exited ones whose events are kept for flushing until reset().
+u64 thread_count();
+
+/// Clears all recorded events, profiles, and labels, and frees the states of
+/// threads that have exited. Live threads stay registered (their
+/// thread_local pointers into the registry must not dangle), and the enable
+/// switches are left untouched.
 void reset();
 
 }  // namespace mpiwasm::trace

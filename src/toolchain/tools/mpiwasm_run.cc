@@ -30,7 +30,7 @@ struct FlagSpec {
 constexpr FlagSpec kFlags[] = {
     {"--np", "N", "number of MPI ranks (default 1)"},
     {"--tier", "interp|baseline|lightopt|optimizing|tiered|jit",
-     "execution tier (default optimizing)"},
+     "execution tier (default jit)"},
     {"--jit", "on|off", "force native codegen on/off (overrides MPIWASM_JIT)"},
     {"--tierup-threshold", "N", "calls before interp -> baseline (tiered)"},
     {"--tierup-opt-threshold", "N", "calls before -> optimizing (tiered)"},
@@ -160,7 +160,6 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
 
 int main(int argc, char** argv) {
   embed::EmbedderConfig cfg;
-  cfg.engine.tier = rt::EngineTier::kOptimizing;
   int ranks = 1;
   bool print_stats = false;
   std::string stats_json_path;

@@ -9,7 +9,12 @@
 #include <fstream>
 
 #include "runtime/cache.h"
+#include "runtime/exec.h"
 #include "runtime/jit_x64.h"
+#include "runtime/lowering.h"
+#include "runtime/optimizer.h"
+#include "toolchain/kernels.h"
+#include "wasm/decoder.h"
 
 namespace mpiwasm::test {
 namespace {
@@ -498,6 +503,108 @@ TEST(Jit, SnapshotCountsStaticJitModules) {
   EXPECT_EQ(snap.jit_funcs, 1u);
   EXPECT_EQ(snap.jit_fallback_funcs, 0u);
   EXPECT_GT(snap.jit_code_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The shipped default and the streamed (one function at a time) compile.
+
+std::vector<u8> hpcg_module(bool simd) {
+  toolchain::HpcgParams p;
+  p.n_per_rank = 64;
+  p.iterations = 2;
+  p.use_simd = simd;
+  return toolchain::build_hpcg_module(p);
+}
+
+TEST(Jit, ShippedDefaultTierIsJit) {
+  EXPECT_EQ(EngineConfig{}.tier, EngineTier::kJit);
+}
+
+TEST(Jit, DefaultConfigCompilesHpcgEntirelyNative) {
+  if (!rt::jit_enabled_from_env()) GTEST_SKIP() << "MPIWASM_JIT=0";
+  for (bool simd : {false, true}) {
+    SCOPED_TRACE(simd ? "simd" : "scalar");
+    auto bytes = hpcg_module(simd);
+    auto cm = rt::compile({bytes.data(), bytes.size()}, EngineConfig{});
+    ASSERT_EQ(cm->tier, EngineTier::kJit);
+    const u64 defined = cm->module.bodies.size();
+    EXPECT_EQ(cm->jit_funcs.load(), defined);
+    EXPECT_EQ(cm->jit_fallback_funcs.load(), 0u);
+    for (const rt::RFunc& rf : cm->regcode.funcs) {
+      EXPECT_NE(rf.jit_entry, nullptr);
+      EXPECT_TRUE(rf.handlers.empty());  // never read behind a native entry
+    }
+  }
+}
+
+/// The whole-module reference pipeline the streamed compile replaced.
+rt::RModule whole_module_pipeline(const std::vector<u8>& bytes,
+                                  const EngineConfig& cfg) {
+  auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
+  EXPECT_TRUE(decoded.ok()) << decoded.error;
+  rt::RModule rm = rt::lower_module(*decoded.module);
+  if (cfg.tier == EngineTier::kLightOpt) {
+    rt::optimize_module(rm, rt::OptOptions::light());
+  } else if (cfg.tier != EngineTier::kBaseline) {
+    rt::OptOptions opt = rt::OptOptions::full();
+    opt.fuse_super = cfg.opt_superinstructions;
+    opt.hoist_bounds = cfg.opt_hoist_bounds;
+    opt.simd = cfg.opt_simd;
+    rt::optimize_module(rm, opt);
+  }
+  if (cfg.tier == EngineTier::kJit)
+    for (rt::RFunc& rf : rm.funcs) rf.jit = rt::jit_compile_function(rf);
+  return rm;
+}
+
+TEST(Jit, StreamedCompileEmitsTheWholeModulePipelinesCode) {
+  const std::vector<std::vector<u8>> modules = {
+      hpcg_module(false), hpcg_module(true),
+      toolchain::build_is_module(toolchain::IsParams{}),
+      toolchain::build_compile_stress_module(4)};
+  for (EngineTier tier : {EngineTier::kBaseline, EngineTier::kLightOpt,
+                          EngineTier::kOptimizing, EngineTier::kJit}) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    EngineConfig cfg = jit_config();
+    cfg.tier = tier;
+    for (const auto& bytes : modules) {
+      auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+      EXPECT_EQ(rt::serialize_regcode(cm->regcode),
+                rt::serialize_regcode(whole_module_pipeline(bytes, cfg)));
+    }
+  }
+}
+
+TEST(Jit, NoExecutableArenaSkipsCodegenAndRunsThreaded) {
+  rt::JitArena::deny_mappings_for_testing(true);
+  auto bytes = hpcg_module(true);
+  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  rt::JitArena::deny_mappings_for_testing(false);
+  const u64 defined = cm->module.bodies.size();
+  EXPECT_EQ(cm->tier, EngineTier::kJit);
+  EXPECT_EQ(cm->jit_funcs.load(), 0u);
+  EXPECT_EQ(cm->jit_fallback_funcs.load(), defined);
+  ASSERT_NE(cm->jit_arena, nullptr);
+  EXPECT_FALSE(cm->jit_arena->available());
+  EXPECT_EQ(cm->jit_arena->code_bytes(), 0u);
+  for (const rt::RFunc& rf : cm->regcode.funcs) {
+    EXPECT_EQ(rf.jit, nullptr);
+    EXPECT_EQ(rf.jit_entry, nullptr);
+    EXPECT_EQ(rf.handlers.empty(), !rt::threaded_dispatch_compiled());
+  }
+
+  // The interpreted bodies still compute the native tier's answer.
+  rt::JitArena::deny_mappings_for_testing(true);
+  auto arith = arith_module();
+  auto fallback = rt::compile({arith.data(), arith.size()}, jit_config());
+  rt::JitArena::deny_mappings_for_testing(false);
+  EXPECT_EQ(fallback->jit_fallback_funcs.load(), 1u);
+  rt::ImportTable imports;
+  rt::Instance inst(fallback, imports);
+  EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
+                                                  Value::from_i32(7)})
+                .as_i32(),
+            47);
 }
 
 }  // namespace

@@ -108,6 +108,33 @@ TEST(TraceConcurrency, ParallelWritersLoseNothing) {
   trace_quiesce();
 }
 
+// Every rank thread registers a state with a full ring. Exited threads' states
+// must survive until the flush (events are read after join) and then be freed
+// by reset(), so a process running many short traced worlds stays bounded.
+TEST(TraceConcurrency, ResetDropsStatesOfExitedThreads) {
+  trace_quiesce();
+  const u64 base = trace::thread_count();
+  trace::enable_tracing(true);
+
+  constexpr int kWorlds = 6;
+  constexpr int kRanks = 4;
+  for (int w = 0; w < kWorlds; ++w) {
+    simmpi::World world(kRanks);
+    world.run([](simmpi::Rank& rank) {
+      trace::set_thread_label("rank", rank.world_rank());
+      trace::instant("test", "tick");
+      rank.barrier();
+    });
+  }
+  EXPECT_GE(trace::thread_count(), base + kWorlds * kRanks);
+  // Flush after join still sees every exited rank's events.
+  EXPECT_GE(trace::event_count(), u64(kWorlds) * kRanks);
+  EXPECT_NE(trace::chrome_json().find("\"rank 3\""), std::string::npos);
+
+  trace_quiesce();
+  EXPECT_LE(trace::thread_count(), base);
+}
+
 // ---------------------------------------------------------------------------
 // JSON well-formedness. A minimal recursive-descent JSON validator (no JSON
 // library in tree) that also collects the string values of "name" keys.
@@ -372,6 +399,114 @@ TEST(TraceProfile, TotalsMatchKnownCallSequence) {
   for (const auto& [key, n] : algos)
     if (key.rfind("allreduce/", 0) == 0) allreduce_decisions += n;
   EXPECT_EQ(allreduce_decisions, u64(kRanks) * kCalls);
+  trace_quiesce();
+}
+
+/// _start: MPI_Init, then one each of MPI_Alltoallv, MPI_Reduce_scatter and
+/// MPI_Ireduce_scatter (+ MPI_Wait), then MPI_Finalize and exit(0). Every
+/// rank sends kVecCounts[i] MPI_INTs to rank i, and each reduce_scatter
+/// takes the same count vector, so each call moves sum(kVecCounts) ints per
+/// rank. Needs exactly four ranks.
+constexpr i32 kVecCounts[4] = {64, 128, 192, 256};
+
+std::vector<u8> build_vector_coll_guest() {
+  using wasm::Op;
+  wasm::ModuleBuilder b;
+  MpiImportSet set;
+  set.alltoall = true;
+  set.scan_family = true;
+  set.icoll = true;
+  MpiImports mpi = toolchain::declare_mpi_imports(b, set);
+  u32 proc_exit =
+      b.import_func("wasi_snapshot_preview1", "proc_exit", {{I32}, {}});
+  b.add_memory(4);
+  b.export_memory();
+  // Layout: counts/displs tables at 0..63, rank at 128, request at 132,
+  // send buffer at 4096, receive buffer at 65536.
+  constexpr i32 kScounts = 0, kSdispls = 16, kRcounts = 32, kRdispls = 48;
+  constexpr i32 kRank = 128, kReq = 132, kSbuf = 4096, kRbuf = 65536;
+  std::vector<u8> tables(32);
+  i32 displ = 0;
+  for (int i = 0; i < 4; ++i) {
+    std::memcpy(&tables[size_t(i) * 4], &kVecCounts[i], 4);
+    std::memcpy(&tables[16 + size_t(i) * 4], &displ, 4);
+    displ += kVecCounts[i];
+  }
+  b.add_data(kScounts, tables);
+  auto& f = b.begin_func({{}, {}}, "_start");
+  f.i32_const(0);
+  f.i32_const(0);
+  f.call(mpi.init);
+  f.op(Op::kDrop);
+  f.i32_const(abi::MPI_COMM_WORLD);
+  f.i32_const(kRank);
+  f.call(mpi.comm_rank);
+  f.op(Op::kDrop);
+  // Rank r receives kVecCounts[r] = 64 * (r + 1) ints from every peer.
+  for (u32 i = 0; i < 4; ++i) {
+    f.i32_const(kRcounts + i32(i) * 4);
+    f.i32_const(kRank);
+    f.mem_op(Op::kI32Load);
+    f.i32_const(1);
+    f.op(Op::kI32Add);
+    f.i32_const(64);
+    f.op(Op::kI32Mul);
+    f.mem_op(Op::kI32Store);
+    f.i32_const(kRdispls + i32(i) * 4);
+    f.i32_const(kRcounts);
+    f.mem_op(Op::kI32Load);
+    f.i32_const(i32(i));
+    f.op(Op::kI32Mul);
+    f.mem_op(Op::kI32Store);
+  }
+  for (i32 v : {kSbuf, kScounts, kSdispls, abi::MPI_INT, kRbuf, kRcounts,
+                kRdispls, abi::MPI_INT, abi::MPI_COMM_WORLD})
+    f.i32_const(v);
+  f.call(mpi.alltoallv);
+  f.op(Op::kDrop);
+  for (i32 v : {kSbuf, kRbuf, kScounts, abi::MPI_INT, abi::MPI_SUM,
+                abi::MPI_COMM_WORLD})
+    f.i32_const(v);
+  f.call(mpi.reduce_scatter);
+  f.op(Op::kDrop);
+  for (i32 v : {kSbuf, kRbuf, kScounts, abi::MPI_INT, abi::MPI_SUM,
+                abi::MPI_COMM_WORLD, kReq})
+    f.i32_const(v);
+  f.call(mpi.ireduce_scatter);
+  f.op(Op::kDrop);
+  f.i32_const(kReq);
+  f.i32_const(abi::MPI_STATUS_IGNORE);
+  f.call(mpi.wait);
+  f.op(Op::kDrop);
+  f.call(mpi.finalize);
+  f.op(Op::kDrop);
+  f.i32_const(0);
+  f.call(proc_exit);
+  f.end();
+  return b.build();
+}
+
+TEST(TraceProfile, VectorCollectivesCreditTheirBytes) {
+  trace_quiesce();
+  trace::enable_profiling(true);
+
+  constexpr int kRanks = 4;
+  auto bytes = build_vector_coll_guest();
+  EmbedderConfig cfg;
+  cfg.engine.enable_cache = false;
+  Embedder emb(cfg);
+  auto result = emb.run_world({bytes.data(), bytes.size()}, kRanks);
+  ASSERT_EQ(result.exit_code, 0);
+
+  u64 per_rank = 0;
+  for (i32 c : kVecCounts) per_rank += u64(c) * 4;
+  auto stats = trace::profile_call_stats();
+  for (const char* name :
+       {"MPI_Alltoallv", "MPI_Reduce_scatter", "MPI_Ireduce_scatter"}) {
+    ASSERT_TRUE(stats.count(name)) << name;
+    EXPECT_EQ(stats.at(name).count, u64(kRanks)) << name;
+    EXPECT_EQ(stats.at(name).bytes, u64(kRanks) * per_rank) << name;
+  }
   trace_quiesce();
 }
 

@@ -66,11 +66,15 @@ inline std::vector<EngineConfig> all_engine_configs() {
   cfgs.push_back(staged);
   // The jit tier with native codegen forced OFF (degrades to optimizing —
   // pins the MPIWASM_JIT=0 escape hatch), and tiered mode promoting all the
-  // way to native code mid-run. The plain kJit entry comes from all_tiers().
-  EngineConfig jit_off;
-  jit_off.tier = EngineTier::kJit;
-  jit_off.jit = false;
-  cfgs.push_back(jit_off);
+  // way to native code mid-run. The plain kJit entry comes from all_tiers();
+  // under MPIWASM_JIT=0 that entry already is this config, and a second
+  // copy would repeat its label.
+  if (rt::jit_enabled_from_env()) {
+    EngineConfig jit_off;
+    jit_off.tier = EngineTier::kJit;
+    jit_off.jit = false;
+    cfgs.push_back(jit_off);
+  }
   EngineConfig tiered_jit;
   tiered_jit.tier = EngineTier::kTiered;
   tiered_jit.tierup_baseline_threshold = 1;
